@@ -961,22 +961,77 @@ std::string HelpText() {
 
 namespace {
 
-Status DispatchCommand(const Args& args, std::ostream& out) {
+using FlagList = std::vector<std::string>;
+
+FlagList Concat(std::initializer_list<FlagList> lists) {
+  FlagList out;
+  for (const FlagList& l : lists) out.insert(out.end(), l.begin(), l.end());
+  return out;
+}
+
+/// One subcommand and every flag it reads beyond kCommonFlags.
+struct CommandSpec {
+  const char* name;
+  Status (*run)(const Args&, std::ostream&);
+  FlagList flags;
+};
+
+/// Read by every command: observability, logging, progress output.
+const FlagList kCommonFlags = {"metrics-out", "metrics-format", "trace-out",
+                               "progress",    "log-level",      "log-json"};
+
+const std::vector<CommandSpec>& Commands() {
+  // PipelineOptionsFromArgs, plus DiscoverFromArgs' batch count.
+  static const FlagList kPipeline = {
+      "method", "theta",   "no-post",     "no-aggregates", "sample-datatypes",
+      "seed",   "threads", "feed-shards", "bucket",        "tables",
+      "incremental"};
+  // StoreOptionsFromArgs.
+  static const FlagList kStore = {"checkpoint-every", "no-fsync",
+                                  "force-options"};
+  static const std::vector<CommandSpec> kCommands = {
+      {"discover", CmdDiscover,
+       Concat({kPipeline, kStore,
+               {"aliases", "state-dir", "deletions", "save-schema", "format",
+                "mode"}})},
+      {"resume", CmdResume,
+       Concat({kPipeline, kStore,
+               {"aliases", "state-dir", "save-schema", "format"}})},
+      {"inspect-state", CmdInspectState, {}},
+      {"drift", CmdDrift, {"since", "format"}},
+      {"generate", CmdGenerate, {"nodes", "edges", "seed", "noise", "labels"}},
+      {"stats", CmdStats, {}},
+      {"validate", CmdValidate,
+       Concat({kPipeline, {"schema", "strict", "max-violations"}})},
+      {"diff", CmdDiff, kPipeline},
+      {"datasets", CmdDatasets, {}},
+      {"serve", CmdServe,
+       Concat({kPipeline, kStore,
+               {"host", "port", "port-file", "workers", "queue-capacity",
+                "retain-epochs", "alert-rules", "access-log"}})},
+      {"ingest", CmdIngest,
+       {"graph", "host", "port", "port-file", "incremental", "schema-out",
+        "timeout-seconds", "aliases"}},
+  };
+  return kCommands;
+}
+
+/// The command's spec after checking that it reads every flag given;
+/// rejects an unknown command or flag before any work happens.
+Result<const CommandSpec*> ResolveCommand(const Args& args) {
   const std::string& cmd = args.positional()[0];
-  if (cmd == "discover") return CmdDiscover(args, out);
-  if (cmd == "resume") return CmdResume(args, out);
-  if (cmd == "inspect-state") return CmdInspectState(args, out);
-  if (cmd == "drift") return CmdDrift(args, out);
-  if (cmd == "generate") return CmdGenerate(args, out);
-  if (cmd == "stats") return CmdStats(args, out);
-  if (cmd == "validate") return CmdValidate(args, out);
-  if (cmd == "diff") return CmdDiff(args, out);
-  if (cmd == "datasets") return CmdDatasets(args, out);
-  if (cmd == "serve") return CmdServe(args, out);
-  if (cmd == "ingest") return CmdIngest(args, out);
-  if (cmd == "help" || cmd == "--help") {
-    out << HelpText();
-    return Status::OK();
+  for (const CommandSpec& c : Commands()) {
+    if (cmd != c.name) continue;
+    const FlagList unknown = args.UnknownFlags(Concat({kCommonFlags, c.flags}));
+    if (!unknown.empty()) {
+      std::string names;
+      for (const std::string& f : unknown) {
+        names += (names.empty() ? "--" : ", --") + f;
+      }
+      return Status::InvalidArgument("unknown flag " + names + " for `pghive " +
+                                     cmd + "`; run `pghive help`");
+    }
+    return &c;
   }
   return Status::InvalidArgument("unknown command '" + cmd +
                                  "'; run `pghive help`");
@@ -985,13 +1040,14 @@ Status DispatchCommand(const Args& args, std::ostream& out) {
 }  // namespace
 
 Status RunCliCommand(const Args& args, std::ostream& out) {
-  if (args.positional().empty()) {
+  if (args.positional().empty() || args.positional()[0] == "help") {
     out << HelpText();
     return Status::OK();
   }
+  PGHIVE_ASSIGN_OR_RETURN(const CommandSpec* command, ResolveCommand(args));
   ObsConfig obs_config;
   PGHIVE_ASSIGN_OR_RETURN(obs_config, ConfigureObservability(args));
-  Status status = DispatchCommand(args, out);
+  Status status = command->run(args, out);
   Status exported = ExportObservability(obs_config);
   if (status.ok()) status = exported;
   return status;

@@ -1,6 +1,7 @@
 #include "core/aggregates.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "core/cardinality.h"
 #include "obs/metrics.h"
@@ -10,73 +11,131 @@ namespace pghive {
 
 namespace {
 
-/// Moves one endpoint between degree-histogram buckets (its distinct degree
-/// changed from `from` to `to`; 0 means "no bucket").
-void HistShift(std::map<uint64_t, uint64_t>* hist, uint64_t from,
-               uint64_t to) {
-  if (from == to) return;
-  if (from > 0) {
-    auto it = hist->find(from);
-    if (it != hist->end() && --it->second == 0) hist->erase(it);
+/// Counts interned set ids in a flat id-indexed array, remembering the
+/// distinct ids in first-seen order so flushing and resetting cost
+/// O(distinct ids), not O(id space).
+class IdCounter {
+ public:
+  void Add(uint32_t id) {
+    if (id >= count_.size()) count_.resize(id + 1, 0);
+    if (count_[id]++ == 0) touched_.push_back(id);
   }
-  if (to > 0) ++(*hist)[to];
-}
+  const std::vector<uint32_t>& touched() const { return touched_; }
+  /// Drops every count without writing it anywhere.
+  void Clear() {
+    for (uint32_t id : touched_) count_[id] = 0;
+    touched_.clear();
+  }
+  /// Adds every count into `out` (one map update per distinct id) and
+  /// resets the counter.
+  template <typename Id>
+  void FlushInto(std::map<Id, uint64_t>* out) {
+    for (uint32_t id : touched_) {
+      (*out)[static_cast<Id>(id)] += count_[id];
+      count_[id] = 0;
+    }
+    touched_.clear();
+  }
 
-/// Folds one element (node or edge) into its type's accumulator: key-set +
-/// label-set histograms, per-key datatype tally + numeric partials. The
-/// element's value row is aligned with its key set's canonical
-/// (lexicographic) key order, so the key ids and values pair up
-/// positionally — no per-key lookup.
-template <typename Elem>
-void FoldElement(const GraphSymbols& sym, const Elem& el, TypeAggregate* agg) {
-  ++agg->folded;
-  ++agg->key_set_counts[el.key_set];
-  ++agg->label_set_counts[el.label_set];
-  const std::vector<SymbolId>& key_ids = sym.key_sets.ids(el.key_set);
-  for (size_t i = 0; i < key_ids.size(); ++i) {
-    PropertyAggregate& pa = agg->keys[key_ids[i]];
-    ++pa.present;
-    const Value& v = el.properties.value_at(i);
-    const DataType dt = v.type();
-    ++pa.type_counts[static_cast<size_t>(dt)];
-    if (dt == DataType::kInt || dt == DataType::kDouble) {
-      const double x = dt == DataType::kInt ? static_cast<double>(v.AsInt())
-                                            : v.AsDouble();
-      if (pa.numeric_count == 0 || x < pa.numeric_min) pa.numeric_min = x;
-      if (pa.numeric_count == 0 || x > pa.numeric_max) pa.numeric_max = x;
-      ++pa.numeric_count;
+ private:
+  std::vector<uint64_t> count_;
+  std::vector<uint32_t> touched_;
+};
+
+/// Reusable state of the fold kernel, one per thread (the arrays grow to the
+/// graph's id spaces once and are reset, not freed, between types).
+struct FoldScratch {
+  IdCounter key_sets, label_sets, src_sets, tgt_sets;
+  /// Key-set id -> 1 + offset of its resolved PropertyAggregate slots in
+  /// `slots` (0 = not resolved for the current type).
+  std::vector<uint32_t> slot_offset;
+  std::vector<PropertyAggregate*> slots;
+
+  /// Forgets the slots resolved for the current type. Must run before the
+  /// key-set counter is flushed (its touched ids are the resolved sets).
+  void ForgetSlots() {
+    for (uint32_t ks : key_sets.touched()) slot_offset[ks] = 0;
+    slots.clear();
+  }
+  /// Drops everything a fold that threw midway left behind.
+  void Reset() {
+    ForgetSlots();
+    key_sets.Clear();
+    label_sets.Clear();
+    src_sets.Clear();
+    tgt_sets.Clear();
+  }
+};
+
+/// The key set's PropertyAggregate slots in the key set's canonical key
+/// order (the order of the element's value row), resolved through the
+/// type's key map once per distinct key set. std::map nodes are stable, so
+/// the cached pointers survive later insertions.
+PropertyAggregate* const* ResolveSlots(const GraphSymbols& sym, KeySetId ks,
+                                       TypeAggregate* agg, FoldScratch* s) {
+  if (ks >= s->slot_offset.size()) s->slot_offset.resize(ks + 1, 0);
+  uint32_t& offset = s->slot_offset[ks];
+  if (offset == 0) {
+    offset = static_cast<uint32_t>(s->slots.size()) + 1;
+    for (SymbolId key : sym.key_sets.ids(ks)) {
+      s->slots.push_back(&agg->keys[key]);
     }
   }
+  return s->slots.data() + (offset - 1);
 }
 
-/// Folds an edge's endpoints: endpoint label-set histograms plus the counted
-/// degree maps and their degree histograms.
-void FoldEdgeEndpoints(const PropertyGraph& g, const Edge& e,
-                       TypeAggregate* agg) {
-  ++agg->src_set_counts[g.node(e.source).label_set];
-  ++agg->tgt_set_counts[g.node(e.target).label_set];
-  auto& targets = agg->out_counts[e.source];
-  if (++targets[e.target] == 1) {
-    HistShift(&agg->out_degree_hist, targets.size() - 1, targets.size());
-  }
-  auto& sources = agg->in_counts[e.target];
-  if (++sources[e.source] == 1) {
-    HistShift(&agg->in_degree_hist, sources.size() - 1, sources.size());
+void FoldValue(const Value& v, PropertyAggregate* pa) {
+  ++pa->present;
+  const DataType dt = v.type();
+  ++pa->type_counts[static_cast<size_t>(dt)];
+  if (dt == DataType::kInt || dt == DataType::kDouble) {
+    const double x =
+        dt == DataType::kInt ? static_cast<double>(v.AsInt()) : v.AsDouble();
+    if (pa->numeric_count == 0 || x < pa->numeric_min) pa->numeric_min = x;
+    if (pa->numeric_count == 0 || x > pa->numeric_max) pa->numeric_max = x;
+    ++pa->numeric_count;
   }
 }
 
-void MergeCountedDegreeMap(
-    std::unordered_map<NodeId, std::unordered_map<NodeId, uint64_t>>* into,
-    const std::unordered_map<NodeId, std::unordered_map<NodeId, uint64_t>>&
-        from,
-    std::map<uint64_t, uint64_t>* hist) {
-  for (const auto& [endpoint, others] : from) {
-    auto& mine = (*into)[endpoint];
-    for (const auto& [other, n] : others) {
-      uint64_t& c = mine[other];
-      if (c == 0) HistShift(hist, mine.size() - 1, mine.size());
-      c += n;
+/// The fold kernel: folds type `t`'s instances [agg->folded, size) into
+/// `agg` in instance-list order — the order the numeric extrema depend on.
+/// Edge types also fold their endpoint label sets and degree state.
+template <typename SchemaType>
+void FoldType(const PropertyGraph& g, const SchemaType& t,
+              TypeAggregate* agg) {
+  constexpr bool kEdges = std::is_same_v<SchemaType, SchemaEdgeType>;
+  thread_local FoldScratch scratch;
+  FoldScratch& s = scratch;
+  s.Reset();
+  const GraphSymbols& sym = g.symbols();
+  for (size_t j = agg->folded; j < t.instances.size(); ++j) {
+    const auto& el = [&]() -> const auto& {
+      if constexpr (kEdges) {
+        return g.edge(t.instances[j]);
+      } else {
+        return g.node(t.instances[j]);
+      }
+    }();
+    s.key_sets.Add(el.key_set);
+    s.label_sets.Add(el.label_set);
+    PropertyAggregate* const* slots = ResolveSlots(sym, el.key_set, agg, &s);
+    const size_t num_values = sym.key_sets.ids(el.key_set).size();
+    for (size_t i = 0; i < num_values; ++i) {
+      FoldValue(el.properties.value_at(i), slots[i]);
     }
+    if constexpr (kEdges) {
+      s.src_sets.Add(g.node(el.source).label_set);
+      s.tgt_sets.Add(g.node(el.target).label_set);
+      agg->degrees.Add(el.source, el.target);
+    }
+  }
+  agg->folded = t.instances.size();
+  s.ForgetSlots();
+  s.key_sets.FlushInto(&agg->key_set_counts);
+  s.label_sets.FlushInto(&agg->label_set_counts);
+  if constexpr (kEdges) {
+    s.src_sets.FlushInto(&agg->src_set_counts);
+    s.tgt_sets.FlushInto(&agg->tgt_set_counts);
   }
 }
 
@@ -90,8 +149,8 @@ bool DecrementCount(Map* map, const Key& key) {
   return true;
 }
 
-/// Inverse of FoldElement. Map entries are erased at count zero so the
-/// retracted state matches a fresh fold of the survivors bit-for-bit.
+/// Inverse of the kernel's element fold. Map entries are erased at count
+/// zero so the retracted state matches a fresh fold of the survivors.
 template <typename Elem>
 void RetractElement(const GraphSymbols& sym, const Elem& el,
                     TypeAggregate* agg, RetractOutcome* out) {
@@ -140,7 +199,7 @@ void RetractElement(const GraphSymbols& sym, const Elem& el,
   }
 }
 
-/// Inverse of FoldEdgeEndpoints.
+/// Inverse of the kernel's endpoint fold.
 void RetractEdgeEndpoints(const PropertyGraph& g, const Edge& e,
                           TypeAggregate* agg, RetractOutcome* out) {
   if (!DecrementCount(&agg->src_set_counts, g.node(e.source).label_set)) {
@@ -149,29 +208,7 @@ void RetractEdgeEndpoints(const PropertyGraph& g, const Edge& e,
   if (!DecrementCount(&agg->tgt_set_counts, g.node(e.target).label_set)) {
     out->ok = false;
   }
-  auto retract_one =
-      [&](std::unordered_map<NodeId, std::unordered_map<NodeId, uint64_t>>*
-              counts,
-          std::map<uint64_t, uint64_t>* hist, NodeId endpoint, NodeId other) {
-        auto it = counts->find(endpoint);
-        if (it == counts->end()) {
-          out->ok = false;
-          return;
-        }
-        auto jt = it->second.find(other);
-        if (jt == it->second.end() || jt->second == 0) {
-          out->ok = false;
-          return;
-        }
-        if (--jt->second == 0) {
-          const uint64_t degree = it->second.size();
-          it->second.erase(jt);
-          HistShift(hist, degree, degree - 1);
-          if (it->second.empty()) counts->erase(it);
-        }
-      };
-  retract_one(&agg->out_counts, &agg->out_degree_hist, e.source, e.target);
-  retract_one(&agg->in_counts, &agg->in_degree_hist, e.target, e.source);
+  if (!agg->degrees.Retract(e.source, e.target)) out->ok = false;
 }
 
 /// Recomputes min/max over the surviving instances carrying `key` (numeric
@@ -250,6 +287,50 @@ void PropertyAggregate::Merge(const PropertyAggregate& other) {
   }
 }
 
+void DegreeState::Direction::Shift(NodeId endpoint, bool gained) {
+  uint64_t to = 0;
+  if (gained) {
+    to = degree.Add(endpoint);
+  } else {
+    degree.Decrement(endpoint, &to);
+  }
+  const uint64_t from = gained ? to - 1 : to + 1;
+  if (from > 0) --hist[from];
+  if (to > 0) {
+    if (to >= hist.size()) hist.resize(to + 1, 0);
+    ++hist[to];
+  }
+  while (!hist.empty() && hist.back() == 0) hist.pop_back();
+}
+
+void DegreeState::Add(NodeId source, NodeId target, uint64_t n) {
+  if (pairs_.Add({source, target}, n) == n) {
+    out_.Shift(source, /*gained=*/true);
+    in_.Shift(target, /*gained=*/true);
+  }
+}
+
+bool DegreeState::Retract(NodeId source, NodeId target) {
+  uint64_t remaining = 0;
+  if (!pairs_.Decrement({source, target}, &remaining)) return false;
+  if (remaining == 0) {
+    out_.Shift(source, /*gained=*/false);
+    in_.Shift(target, /*gained=*/false);
+  }
+  return true;
+}
+
+void DegreeState::Merge(const DegreeState& other) {
+  other.pairs_.ForEach(
+      [&](const Pair& p, uint64_t n) { Add(p.first, p.second, n); });
+}
+
+size_t DegreeState::HeapBytes() const {
+  return pairs_.HeapBytes() + out_.degree.HeapBytes() +
+         in_.degree.HeapBytes() +
+         (out_.hist.capacity() + in_.hist.capacity()) * sizeof(uint64_t);
+}
+
 void TypeAggregate::Merge(const TypeAggregate& other) {
   folded += other.folded;
   for (const auto& [ks, n] : other.key_set_counts) key_set_counts[ks] += n;
@@ -257,8 +338,7 @@ void TypeAggregate::Merge(const TypeAggregate& other) {
   for (const auto& [sid, pa] : other.keys) keys[sid].Merge(pa);
   for (const auto& [ls, n] : other.src_set_counts) src_set_counts[ls] += n;
   for (const auto& [ls, n] : other.tgt_set_counts) tgt_set_counts[ls] += n;
-  MergeCountedDegreeMap(&out_counts, other.out_counts, &out_degree_hist);
-  MergeCountedDegreeMap(&in_counts, other.in_counts, &in_degree_hist);
+  degrees.Merge(other.degrees);
 }
 
 bool SchemaAggregates::ConsistentWith(const SchemaGraph& schema) const {
@@ -280,120 +360,38 @@ bool SchemaAggregates::ConsistentWith(const SchemaGraph& schema) const {
 }
 
 bool SchemaAggregates::FoldNew(const PropertyGraph& g,
-                               const SchemaGraph& schema) {
+                               const SchemaGraph& schema, ThreadPool* pool) {
   bool ok = node_types.size() <= schema.node_types.size() &&
             edge_types.size() <= schema.edge_types.size();
   node_types.resize(schema.node_types.size());
   edge_types.resize(schema.edge_types.size());
-  const GraphSymbols& sym = g.symbols();
+  // A type whose instance list shrank below its watermark (external
+  // deletion) is left as it is; the caller must rebuild.
+  auto foldable = [](const TypeAggregate& a, const auto& t) {
+    return a.folded <= t.instances.size();
+  };
   for (size_t i = 0; i < node_types.size(); ++i) {
-    const SchemaNodeType& t = schema.node_types[i];
-    TypeAggregate& a = node_types[i];
-    if (a.folded > t.instances.size()) {
-      ok = false;  // instance list shrank below the watermark
-      continue;
-    }
-    for (size_t j = a.folded; j < t.instances.size(); ++j) {
-      FoldElement(sym, g.node(t.instances[j]), &a);
-    }
+    ok = ok && foldable(node_types[i], schema.node_types[i]);
   }
   for (size_t i = 0; i < edge_types.size(); ++i) {
-    const SchemaEdgeType& t = schema.edge_types[i];
-    TypeAggregate& a = edge_types[i];
-    if (a.folded > t.instances.size()) {
-      ok = false;
-      continue;
-    }
-    for (size_t j = a.folded; j < t.instances.size(); ++j) {
-      const Edge& e = g.edge(t.instances[j]);
-      FoldElement(sym, e, &a);
-      FoldEdgeEndpoints(g, e, &a);
-    }
+    ok = ok && foldable(edge_types[i], schema.edge_types[i]);
   }
-  return ok;
-}
-
-bool SchemaAggregates::FoldNewSharded(const PropertyGraph& g,
-                                      const SchemaGraph& schema,
-                                      const ShardPlan& plan,
-                                      ThreadPool* pool) {
-  if (!plan.sharded()) return FoldNew(g, schema);
-  bool ok = node_types.size() <= schema.node_types.size() &&
-            edge_types.size() <= schema.edge_types.size();
-  node_types.resize(schema.node_types.size());
-  edge_types.resize(schema.edge_types.size());
-  const GraphSymbols& sym = g.symbols();
-
-  // Route each new (type, position) to its element's signature shard. The
-  // routing scan visits instances in the sequential fold's order, so every
-  // shard's item list is ascending (type, position) — each partial is the
-  // sequential fold restricted to that shard's elements.
-  const size_t num_shards = plan.num_shards();
-  struct Item {
-    size_t type;
-    size_t pos;
-  };
-  std::vector<std::vector<Item>> node_items(num_shards);
-  std::vector<std::vector<Item>> edge_items(num_shards);
-  for (size_t i = 0; i < node_types.size(); ++i) {
-    const SchemaNodeType& t = schema.node_types[i];
-    TypeAggregate& a = node_types[i];
-    if (a.folded > t.instances.size()) {
-      ok = false;  // instance list shrank below the watermark
-      continue;
-    }
-    for (size_t j = a.folded; j < t.instances.size(); ++j) {
-      const Node& n = g.node(t.instances[j]);
-      node_items[plan.ShardOf(sym.node_signatures.shard_key(n.signature))]
-          .push_back({i, j});
-    }
-  }
-  for (size_t i = 0; i < edge_types.size(); ++i) {
-    const SchemaEdgeType& t = schema.edge_types[i];
-    TypeAggregate& a = edge_types[i];
-    if (a.folded > t.instances.size()) {
-      ok = false;
-      continue;
-    }
-    for (size_t j = a.folded; j < t.instances.size(); ++j) {
-      const Edge& e = g.edge(t.instances[j]);
-      edge_items[plan.ShardOf(sym.edge_signatures.shard_key(e.signature))]
-          .push_back({i, j});
-    }
-  }
-
-  // Per-shard partial accumulators, merged in ascending shard order: the
-  // per-type merge order is fixed by the shard count alone, never by the
-  // thread count, and every component merges content-exactly.
-  struct Partial {
-    std::vector<TypeAggregate> nodes;
-    std::vector<TypeAggregate> edges;
-  };
-  ParallelShardFold(
-      pool, num_shards, /*init=*/0,
-      [&](size_t shard) {
-        Partial p;
-        p.nodes.resize(node_types.size());
-        p.edges.resize(edge_types.size());
-        for (const Item& it : node_items[shard]) {
-          FoldElement(sym, g.node(schema.node_types[it.type].instances[it.pos]),
-                      &p.nodes[it.type]);
+  const size_t num_nodes = node_types.size();
+  ParallelFor(
+      pool, num_nodes + edge_types.size(),
+      [&](size_t i) {
+        if (i < num_nodes) {
+          if (foldable(node_types[i], schema.node_types[i])) {
+            FoldType(g, schema.node_types[i], &node_types[i]);
+          }
+        } else {
+          const size_t e = i - num_nodes;
+          if (foldable(edge_types[e], schema.edge_types[e])) {
+            FoldType(g, schema.edge_types[e], &edge_types[e]);
+          }
         }
-        for (const Item& it : edge_items[shard]) {
-          const Edge& e = g.edge(schema.edge_types[it.type].instances[it.pos]);
-          FoldElement(sym, e, &p.edges[it.type]);
-          FoldEdgeEndpoints(g, e, &p.edges[it.type]);
-        }
-        return p;
       },
-      [&](int* /*acc*/, size_t /*shard*/, Partial&& p) {
-        for (size_t i = 0; i < p.nodes.size(); ++i) {
-          node_types[i].Merge(p.nodes[i]);
-        }
-        for (size_t i = 0; i < p.edges.size(); ++i) {
-          edge_types[i].Merge(p.edges[i]);
-        }
-      });
+      /*grain=*/1);
   return ok;
 }
 
@@ -433,33 +431,23 @@ uint64_t SchemaAggregates::KeyEntries() const {
 
 uint64_t SchemaAggregates::DegreeEntries() const {
   uint64_t total = 0;
-  for (const auto& a : edge_types) {
-    total += a.out_counts.size() + a.in_counts.size();
-  }
+  for (const auto& a : edge_types) total += a.degrees.num_pairs();
   return total;
 }
 
 uint64_t SchemaAggregates::ApproxBytes() const {
-  // Rough heap accounting: per-entry node overhead for the tree maps, bucket
-  // + element cost for the hash containers.
+  // The flat degree state is counted exactly (allocated slots); the ordered
+  // maps at a per-node estimate.
   constexpr uint64_t kMapNode = 48;
-  constexpr uint64_t kHashEntry = 32;
   uint64_t bytes = 0;
   auto type_bytes = [&](const TypeAggregate& a) {
-    bytes += sizeof(TypeAggregate);
+    bytes += sizeof(TypeAggregate) + a.degrees.HeapBytes();
     const uint64_t count_maps = a.key_set_counts.size() +
                                 a.label_set_counts.size() +
                                 a.src_set_counts.size() +
-                                a.tgt_set_counts.size() +
-                                a.out_degree_hist.size() +
-                                a.in_degree_hist.size();
+                                a.tgt_set_counts.size();
     bytes += count_maps * (kMapNode + sizeof(uint64_t) * 2);
     bytes += a.keys.size() * (kMapNode + sizeof(PropertyAggregate));
-    for (const auto* m : {&a.out_counts, &a.in_counts}) {
-      bytes += m->size() *
-               (kHashEntry + sizeof(std::unordered_map<NodeId, uint64_t>));
-      for (const auto& [k, s] : *m) bytes += s.size() * kHashEntry;
-    }
   };
   for (const auto& a : node_types) type_bytes(a);
   for (const auto& a : edge_types) type_bytes(a);
@@ -470,66 +458,8 @@ SchemaAggregates BuildAggregates(const PropertyGraph& g,
                                  const SchemaGraph& schema,
                                  ThreadPool* pool) {
   SchemaAggregates agg;
-  const GraphSymbols& sym = g.symbols();
-
-  // One chunked reduction per element kind over the flattened
-  // (type, instance) index space: chunk boundaries depend only on the total
-  // instance count, partials merge in ascending chunk order, and every
-  // component (counts, map unions, growth-driven maxima) is exact under
-  // merging — so the merged content is independent of the chunking.
-  auto build = [&](const auto& types, std::vector<TypeAggregate>* out,
-                   auto fold_one) {
-    std::vector<size_t> offset(types.size() + 1, 0);
-    for (size_t i = 0; i < types.size(); ++i) {
-      offset[i + 1] = offset[i] + types[i].instances.size();
-    }
-    const size_t total = offset.back();
-    using Partial = std::vector<TypeAggregate>;
-    *out = ParallelReduceOrdered(
-        pool, total, Partial(types.size()),
-        [&](size_t begin, size_t end) {
-          Partial partial(types.size());
-          size_t t = static_cast<size_t>(
-              std::upper_bound(offset.begin(), offset.end(), begin) -
-              offset.begin() - 1);
-          for (size_t idx = begin; idx < end;) {
-            while (idx >= offset[t + 1]) ++t;
-            const size_t stop = std::min(end, offset[t + 1]);
-            for (; idx < stop; ++idx) {
-              fold_one(types[t], idx - offset[t], &partial[t]);
-            }
-          }
-          return partial;
-        },
-        [](Partial* acc, Partial&& partial) {
-          for (size_t i = 0; i < partial.size(); ++i) {
-            (*acc)[i].Merge(partial[i]);
-          }
-        });
-  };
-
-  build(schema.node_types, &agg.node_types,
-        [&](const SchemaNodeType& t, size_t j, TypeAggregate* a) {
-          FoldElement(sym, g.node(t.instances[j]), a);
-        });
-  build(schema.edge_types, &agg.edge_types,
-        [&](const SchemaEdgeType& t, size_t j, TypeAggregate* a) {
-          const Edge& e = g.edge(t.instances[j]);
-          FoldElement(sym, e, a);
-          FoldEdgeEndpoints(g, e, a);
-        });
+  agg.FoldNew(g, schema, pool);
   return agg;
-}
-
-void FoldNodeElement(const GraphSymbols& sym, const Node& n,
-                     TypeAggregate* agg) {
-  FoldElement(sym, n, agg);
-}
-
-void FoldEdgeElement(const PropertyGraph& g, const Edge& e,
-                     TypeAggregate* agg) {
-  FoldElement(g.symbols(), e, agg);
-  FoldEdgeEndpoints(g, e, agg);
 }
 
 void RetractNodeElement(const GraphSymbols& sym, const Node& n,
@@ -564,15 +494,14 @@ void RescanEdgeNumericExtrema(const PropertyGraph& g, const SchemaEdgeType& t,
 TypeAggregate RebuildNodeAggregate(const PropertyGraph& g,
                                    const SchemaNodeType& t) {
   TypeAggregate agg;
-  const GraphSymbols& sym = g.symbols();
-  for (size_t id : t.instances) FoldElement(sym, g.node(id), &agg);
+  FoldType(g, t, &agg);
   return agg;
 }
 
 TypeAggregate RebuildEdgeAggregate(const PropertyGraph& g,
                                    const SchemaEdgeType& t) {
   TypeAggregate agg;
-  for (size_t id : t.instances) FoldEdgeElement(g, g.edge(id), &agg);
+  FoldType(g, t, &agg);
   return agg;
 }
 

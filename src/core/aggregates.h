@@ -16,10 +16,21 @@
 //                  DISTINCT observed types from the tally reproduces the
 //                  sequential left fold exactly. Numeric value-stats partials
 //                  (count/min/max) ride along for the snapshot statistics.
-//   cardinalities  per-(edge type, endpoint) distinct-neighbour sets with a
-//                  running maximum, updated whenever a set grows. Set growth
-//                  is monotone, so the running maximum equals the maximum
-//                  over the final set sizes — exact, not approximate.
+//   cardinalities  per edge type, the counted multiset of (source, target)
+//                  pairs in a flat open-addressing table (core/count_table.h),
+//                  each endpoint's distinct-neighbour degree per direction in
+//                  a second flat table, and per direction a dense degree
+//                  histogram whose top is the exact maximum degree.
+//
+// One fold kernel serves every entry point: FoldNew, BuildAggregates (a
+// FoldNew from empty) and Rebuild*Aggregate. It walks one type's new
+// instances in instance-list order. PropertyAggregate slots are resolved
+// once per distinct key set; the key-set, label-set and endpoint label-set
+// histograms are counted in flat id-indexed arrays and written to their
+// ordered maps once per distinct id. Types are independent, so the kernel
+// runs one task per type over a ParallelFor. Each type is folded by exactly
+// one task in list order, so the state — the order-sensitive numeric min/max
+// included, ±0 and NaN alike — is the sequential fold's at any thread count.
 //
 // Because type extraction only ever APPENDS instances to a type (stable type
 // indices, each instance assigned exactly once — see core/type_extraction.h),
@@ -29,12 +40,6 @@
 // datatypes / cardinalities into the schema) is then independent of the
 // number of instances.
 //
-// The one-shot pipeline builds the same aggregates in a single chunked
-// ParallelReduceOrdered pass. All components are integer counts, map unions
-// and monotone maxima, so the merged aggregate content — and therefore the
-// finalized schema — is bit-identical at any thread count and identical to
-// the sequential rescan passes (guarded by tests/golden_equivalence_test).
-//
 // NOT delta-maintainable: the datatype sampling mode (the RNG consumes draws
 // in (type, key) order over the concrete value list, which the tally cannot
 // reproduce) and the full value statistics (top-k values, distinct counts,
@@ -42,10 +47,11 @@
 //
 // Retraction (mutation streams): every component is a counted histogram, so
 // elements SUBTRACT as cleanly as they add — key-set counts, per-key
-// presence, datatype tallies and the counted degree maps all decrement, and
-// map entries are erased when their count reaches zero (so retracted state
-// is bit-identical to a fresh fold of the survivors). Two components are
-// not directly invertible and carry explicit recovery paths:
+// presence, datatype tallies and the counted degree tables all decrement, and
+// entries are erased when their count reaches zero (the flat tables by
+// backward shift, leaving no tombstones), so retracted state equals a fresh
+// fold of the survivors. Two components are not directly invertible and
+// carry explicit recovery paths:
 //
 //   * numeric min/max partials — retracting a value equal to the running
 //     extremum invalidates it; Retract*Element reports the affected keys
@@ -72,12 +78,11 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "core/count_table.h"
 #include "core/schema.h"
-#include "core/shard_plan.h"
 #include "graph/property_graph.h"
 #include "runtime/thread_pool.h"
 
@@ -103,6 +108,59 @@ struct PropertyAggregate {
   bool operator==(const PropertyAggregate&) const = default;
 };
 
+/// Counted degree state of one edge type. Edge multiplicity per
+/// (source, target) pair lives in one flat table that serves both
+/// directions (the in-direction pairs are the out-direction pairs
+/// transposed); a pair appears only while at least one parallel edge
+/// survives. Per direction, a flat endpoint -> distinct-degree table and a
+/// dense degree histogram (index = distinct degree, value = endpoint count,
+/// trailing zeros trimmed) keep the maxima exact under retraction.
+/// Equality compares content, never table layout.
+class DegreeState {
+ public:
+  using Pair = std::pair<NodeId, NodeId>;
+
+  /// Adds `n` parallel source -> target edges.
+  void Add(NodeId source, NodeId target, uint64_t n = 1);
+  /// Retracts one source -> target edge; false (nothing changed) when the
+  /// pair holds no edge.
+  bool Retract(NodeId source, NodeId target);
+  /// Adds every edge of `other`.
+  void Merge(const DegreeState& other);
+
+  /// Parallel edges between source and target (0 when none).
+  uint64_t Multiplicity(NodeId source, NodeId target) const {
+    return pairs_.Get({source, target});
+  }
+  /// Exact maximum distinct out-/in-degree over the CURRENT edge multiset
+  /// (not a running high-water mark — retraction lowers it).
+  uint64_t max_out() const { return out_.max(); }
+  uint64_t max_in() const { return in_.max(); }
+  /// Distinct (source, target) pairs.
+  size_t num_pairs() const { return pairs_.size(); }
+  /// Every (source, target) -> multiplicity entry, ascending.
+  std::vector<std::pair<Pair, uint64_t>> SortedPairs() const {
+    return pairs_.Sorted();
+  }
+  size_t HeapBytes() const;
+
+  bool operator==(const DegreeState&) const = default;
+
+ private:
+  struct Direction {
+    CountTable<NodeId, Mix64Hash> degree;  // endpoint -> distinct degree
+    std::vector<uint64_t> hist;            // distinct degree -> endpoints
+    uint64_t max() const { return hist.empty() ? 0 : hist.size() - 1; }
+    /// Records that `endpoint` gained or lost one distinct neighbour.
+    void Shift(NodeId endpoint, bool gained);
+    bool operator==(const Direction&) const = default;
+  };
+
+  CountTable<Pair, PairMix64Hash> pairs_;
+  Direction out_;
+  Direction in_;
+};
+
 /// Mergeable, retractable accumulator for one schema type (node or edge;
 /// the endpoint/degree state stays empty for node types).
 struct TypeAggregate {
@@ -124,24 +182,10 @@ struct TypeAggregate {
   // endpoints count under the empty label set and contribute no strings).
   std::map<LabelSetId, uint64_t> src_set_counts;
   std::map<LabelSetId, uint64_t> tgt_set_counts;
-  // Counted degree maps: edge multiplicity per (source, target) — distinct
-  // neighbour degree is the inner map's size, and an entry only disappears
-  // when its LAST parallel edge retracts. The degree histograms (distinct
-  // degree -> endpoint count) are maintained alongside so the maxima stay
-  // exact under retraction (the new max is the histogram's last key).
-  std::unordered_map<NodeId, std::unordered_map<NodeId, uint64_t>> out_counts;
-  std::unordered_map<NodeId, std::unordered_map<NodeId, uint64_t>> in_counts;
-  std::map<uint64_t, uint64_t> out_degree_hist;
-  std::map<uint64_t, uint64_t> in_degree_hist;
+  DegreeState degrees;
 
-  /// Exact maximum distinct out-/in-degree over the CURRENT edge multiset
-  /// (not a running high-water mark — retraction lowers it).
-  uint64_t max_out() const {
-    return out_degree_hist.empty() ? 0 : out_degree_hist.rbegin()->first;
-  }
-  uint64_t max_in() const {
-    return in_degree_hist.empty() ? 0 : in_degree_hist.rbegin()->first;
-  }
+  uint64_t max_out() const { return degrees.max_out(); }
+  uint64_t max_in() const { return degrees.max_in(); }
 
   void Merge(const TypeAggregate& other);
 
@@ -162,57 +206,44 @@ struct SchemaAggregates {
   bool ConsistentWith(const SchemaGraph& schema) const;
 
   /// Folds every instance appended to `schema`'s types since the last fold
-  /// (all of them, for a fresh aggregate). O(new instances). Returns false
-  /// when an instance list SHRANK below its watermark (external deletion) —
-  /// the aggregates are then unusable until rebuilt.
-  bool FoldNew(const PropertyGraph& g, const SchemaGraph& schema);
+  /// (all of them, for a fresh aggregate). O(new instances); `pool` runs
+  /// one task per type, each folding its type sequentially in list order,
+  /// so the result is the same at any thread count. Returns false when an
+  /// instance list SHRANK below its watermark (external deletion) — the
+  /// aggregates are then unusable until rebuilt.
+  bool FoldNew(const PropertyGraph& g, const SchemaGraph& schema,
+               ThreadPool* pool = nullptr);
 
-  /// Sharded FoldNew — the aggregate leg of the sharded Feed path. The new
-  /// instances are partitioned by signature shard (each element's stored
-  /// signature through plan.ShardOf), per-shard partial accumulators are
-  /// folded by the pool's workers, and partials merge in ascending shard
-  /// order. Content-identical to FoldNew: every component is a commutative
-  /// counted structure or a monotone extremum, so the merged state — and
-  /// everything finalized or serialized from it — matches the sequential
-  /// fold byte for byte. Falls back to FoldNew when the plan is unsharded.
-  bool FoldNewSharded(const PropertyGraph& g, const SchemaGraph& schema,
-                      const ShardPlan& plan, ThreadPool* pool);
-
-  /// Index-wise merge for the parallel one-shot build (counts add, maps
-  /// union, maxima update on set growth).
+  /// Index-wise merge of independently folded aggregates: counts add, maps
+  /// and degree tables union, numeric extrema combine. Equals the fold of
+  /// the concatenated instance lists.
   void Merge(const SchemaAggregates& other);
 
   void Clear();
 
   uint64_t FoldedInstances() const;
-  /// Distinct (type, key) tally entries / degree-map endpoint entries —
-  /// the pghive.aggregates.* gauge sources.
+  /// Distinct (type, key) tally entries / distinct (source, target) pairs
+  /// held in the edge types' degree tables — the pghive.aggregates.* gauge
+  /// sources.
   uint64_t KeyEntries() const;
   uint64_t DegreeEntries() const;
-  /// Approximate heap footprint for the obs gauges.
+  /// Approximate heap footprint for the obs gauges: the allocated slots of
+  /// the flat degree tables and histograms, plus a per-node estimate for
+  /// the ordered maps.
   uint64_t ApproxBytes() const;
 
   bool operator==(const SchemaAggregates&) const = default;
 };
 
-/// Builds aggregates for `schema`'s current instance assignment in one
-/// chunked pass over the flattened (type, instance) space; per-chunk
-/// partials merge in ascending chunk order (deterministic content at any
+/// Builds aggregates for `schema`'s current instance assignment: FoldNew on
+/// an empty SchemaAggregates (one task per type; the same content at any
 /// thread count). Null pool = sequential.
 SchemaAggregates BuildAggregates(const PropertyGraph& g,
                                  const SchemaGraph& schema,
                                  ThreadPool* pool = nullptr);
 
-// --- Per-element fold/retract primitives (the mutation path,
-// core/retraction.h, drives these; FoldNew/BuildAggregates fold through the
-// same code). ---
-
-/// Folds one element into its type accumulator. The edge variant also folds
-/// endpoint label sets and the counted degree state (hence the graph).
-void FoldNodeElement(const GraphSymbols& sym, const Node& n,
-                     TypeAggregate* agg);
-void FoldEdgeElement(const PropertyGraph& g, const Edge& e,
-                     TypeAggregate* agg);
+// --- Per-element retract primitives (the mutation path, core/retraction.h,
+// drives these). ---
 
 /// What a retraction could not undo exactly.
 struct RetractOutcome {
@@ -224,7 +255,7 @@ struct RetractOutcome {
   std::vector<SymbolId> rescan_keys;
 };
 
-/// Retracts one previously folded element (inverse of Fold*Element).
+/// Retracts one previously folded element (inverse of the fold).
 void RetractNodeElement(const GraphSymbols& sym, const Node& n,
                         TypeAggregate* agg, RetractOutcome* out);
 void RetractEdgeElement(const PropertyGraph& g, const Edge& e,
@@ -238,8 +269,8 @@ void RescanNodeNumericExtrema(const PropertyGraph& g, const SchemaNodeType& t,
 void RescanEdgeNumericExtrema(const PropertyGraph& g, const SchemaEdgeType& t,
                               SymbolId key, PropertyAggregate* pa);
 
-/// Fresh fold of a single type's surviving instances — the rebuild path for
-/// retraction underflow.
+/// Fresh fold of a single type's surviving instances (the fold kernel from
+/// empty) — the rebuild path for retraction underflow.
 TypeAggregate RebuildNodeAggregate(const PropertyGraph& g,
                                    const SchemaNodeType& t);
 TypeAggregate RebuildEdgeAggregate(const PropertyGraph& g,

@@ -33,12 +33,8 @@ Status IncrementalDiscoverer::Feed(const GraphBatch& batch) {
     if (options_.pipeline.aggregate_post_process) {
       // O(batch): folds only the instances this batch appended. A fresh
       // discoverer (or one restored without aggregates) folds everything
-      // assigned so far on its first call. The sharded plan partitions the
-      // fold by signature across the pipeline's pool, merged in shard
-      // order — content-identical to the sequential fold.
-      if (!aggregates_.FoldNewSharded(*batch.graph, schema_,
-                                      pipeline_.shard_plan(),
-                                      pipeline_.thread_pool())) {
+      // assigned so far on its first call.
+      if (!pipeline_.FoldAggregates(*batch.graph, schema_, &aggregates_)) {
         aggregates_valid_ = false;
       }
       if (obs::MetricsEnabled()) PublishAggregateGauges(aggregates_);
@@ -112,9 +108,7 @@ Status IncrementalDiscoverer::FeedMutations(
     // A pure-deletion batch has nothing to embed or cluster.
     if (batch.num_nodes() > 0 || batch.num_edges() > 0) {
       PGHIVE_RETURN_NOT_OK(pipeline_.ProcessBatch(batch, &schema_));
-      if (!aggregates_.FoldNewSharded(*batch.graph, schema_,
-                                      pipeline_.shard_plan(),
-                                      pipeline_.thread_pool())) {
+      if (!pipeline_.FoldAggregates(*batch.graph, schema_, &aggregates_)) {
         aggregates_valid_ = false;
       }
     }

@@ -371,8 +371,8 @@ void PgHivePipeline::PostProcessWithAggregates(
   }
 
   // Finalize from aggregates: the caller's maintained state when it matches
-  // the schema's instance assignment, otherwise a transient build in one
-  // chunked parallel pass over the assigned instances.
+  // the schema's instance assignment, otherwise a transient build over the
+  // assigned instances.
   SchemaAggregates local;
   if (aggregates == nullptr || !aggregates->ConsistentWith(*schema)) {
     obs::ScopedSpan s("pipeline.post_fold", &timings.post_fold);
@@ -399,6 +399,22 @@ void PgHivePipeline::PostProcessWithAggregates(
                       &timings.post_cardinalities);
     FinalizeCardinalities(*aggregates, schema, pool);
   }
+  if (aggregates == &local) {
+    // Freeing the transient state is part of the fold's cost.
+    double teardown = 0.0;
+    {
+      obs::ScopedSpan s("pipeline.post_fold", &teardown);
+      local.Clear();
+    }
+    timings.post_fold += teardown;
+  }
+}
+
+bool PgHivePipeline::FoldAggregates(const PropertyGraph& g,
+                                    const SchemaGraph& schema,
+                                    SchemaAggregates* aggregates) {
+  obs::ScopedSpan span("incremental.fold", &diagnostics_.timings.fold);
+  return aggregates->FoldNew(g, schema, EnsurePool());
 }
 
 Result<SchemaGraph> PgHivePipeline::DiscoverSchema(const PropertyGraph& g) {

@@ -60,8 +60,8 @@ struct PipelineOptions {
   /// When true (default) post-processing finalizes from delta-maintained
   /// mergeable aggregates (core/aggregates.h) instead of rescanning every
   /// assigned instance: the incremental pipeline folds each batch in
-  /// O(batch), and the one-shot pipeline builds the aggregates in a single
-  /// chunked parallel pass. Output is bit-identical to the rescan passes;
+  /// O(batch), and the one-shot pipeline folds them from empty
+  /// (BuildAggregates). Output is bit-identical to the rescan passes;
   /// the flag exists for A/B benchmarking and as an escape hatch. Not part
   /// of the options fingerprint (output-neutral).
   bool aggregate_post_process = true;
@@ -77,9 +77,10 @@ struct PipelineOptions {
   int num_threads = 1;
 
   /// Signature shards for the parallel incremental Feed path (see
-  /// core/shard_plan.h): each batch's clustering, aggregate fold and
-  /// retractions are partitioned by signature across this many shards and
-  /// merged in ascending shard order. The shard count — not the thread
+  /// core/shard_plan.h): each batch's clustering and retractions are
+  /// partitioned by signature across this many shards and merged in
+  /// ascending shard order (the aggregate fold runs one task per type at
+  /// any shard count). The shard count — not the thread
   /// count — fixes the work partition, so output is bit-identical at any
   /// parallelism; <= 1 (default) keeps the unsharded sequential code
   /// paths. Not part of the options fingerprint (output-neutral), but the
@@ -128,6 +129,11 @@ struct StageTimings {
   double post_constraints = 0.0;
   double post_datatypes = 0.0;
   double post_cardinalities = 0.0;
+  // Batch stage of the incremental paths (Feed / FeedMutations): the delta
+  // fold of the batch's new instances into the maintained aggregates
+  // (FoldAggregates, span incremental.fold). 0 in one-shot discovery, where
+  // the fold is post_fold.
+  double fold = 0.0;
 };
 
 /// Diagnostics of the most recent batch (exposed for Figure 6 and tests).
@@ -163,12 +169,18 @@ class PgHivePipeline {
   /// Post-processing from caller-maintained aggregates (core/incremental.h
   /// folds them batch by batch). `aggregates` may be null or inconsistent
   /// with `schema` — the pipeline then builds a transient aggregate state
-  /// in one chunked parallel pass (or, with aggregate_post_process off,
+  /// with BuildAggregates (or, with aggregate_post_process off,
   /// runs the legacy rescan passes). The finalized schema is bit-identical
   /// on every path.
   void PostProcessWithAggregates(const PropertyGraph& g,
                                  const SchemaAggregates* aggregates,
                                  SchemaGraph* schema) const;
+
+  /// Folds the instances `schema` gained since the last fold into
+  /// `aggregates` (SchemaAggregates::FoldNew over the pipeline's pool),
+  /// timed as the batch's `fold` stage. Returns FoldNew's result.
+  bool FoldAggregates(const PropertyGraph& g, const SchemaGraph& schema,
+                      SchemaAggregates* aggregates);
 
   const BatchDiagnostics& last_diagnostics() const { return diagnostics_; }
 

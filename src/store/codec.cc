@@ -852,49 +852,92 @@ Result<SchemaValueStats> DecodeValueStats(BinaryReader* r) {
 
 namespace {
 
-/// Counted degree map (snapshot v4): sorted endpoints, per endpoint the
-/// sorted (neighbour, multiplicity) pairs. The degree histograms are a pure
-/// function of this map, so they are rebuilt on decode rather than stored.
-void EncodeCountedDegreeMap(
-    const std::unordered_map<NodeId, std::unordered_map<NodeId, uint64_t>>& m,
+/// One direction of the counted degree state (snapshot v4): sorted
+/// endpoints, per endpoint the sorted (neighbour, multiplicity) pairs.
+/// `entries` holds (endpoint, neighbour) -> multiplicity in ascending order.
+void EncodeDegreeDirection(
+    const std::vector<std::pair<DegreeState::Pair, uint64_t>>& entries,
     BinaryWriter* w) {
-  std::vector<NodeId> endpoints;
-  endpoints.reserve(m.size());
-  for (const auto& [endpoint, others] : m) endpoints.push_back(endpoint);
-  std::sort(endpoints.begin(), endpoints.end());
-  w->WriteU32(static_cast<uint32_t>(endpoints.size()));
-  for (NodeId endpoint : endpoints) {
-    const auto& others = m.at(endpoint);
-    std::vector<std::pair<NodeId, uint64_t>> sorted(others.begin(),
-                                                    others.end());
-    std::sort(sorted.begin(), sorted.end());
+  uint32_t num_endpoints = 0;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (i == 0 || entries[i].first.first != entries[i - 1].first.first) {
+      ++num_endpoints;
+    }
+  }
+  w->WriteU32(num_endpoints);
+  for (size_t i = 0; i < entries.size();) {
+    const NodeId endpoint = entries[i].first.first;
+    size_t end = i;
+    while (end < entries.size() && entries[end].first.first == endpoint) ++end;
     w->WriteU64(endpoint);
-    w->WriteU32(static_cast<uint32_t>(sorted.size()));
-    for (const auto& [other, count] : sorted) {
-      w->WriteU64(other);
-      w->WriteU64(count);
+    w->WriteU32(static_cast<uint32_t>(end - i));
+    for (; i < end; ++i) {
+      w->WriteU64(entries[i].first.second);
+      w->WriteU64(entries[i].second);
     }
   }
 }
 
-Result<std::unordered_map<NodeId, std::unordered_map<NodeId, uint64_t>>>
-DecodeCountedDegreeMap(BinaryReader* r,
-                       std::map<uint64_t, uint64_t>* degree_hist) {
-  std::unordered_map<NodeId, std::unordered_map<NodeId, uint64_t>> m;
+/// The out direction (source -> target), then the in direction, which is
+/// the same pairs transposed. The degree tables and histograms are a pure
+/// function of the pairs, so they are rebuilt on decode rather than stored.
+void EncodeDegreeState(const DegreeState& d, BinaryWriter* w) {
+  std::vector<std::pair<DegreeState::Pair, uint64_t>> pairs = d.SortedPairs();
+  EncodeDegreeDirection(pairs, w);
+  for (auto& [p, n] : pairs) std::swap(p.first, p.second);
+  std::sort(pairs.begin(), pairs.end());
+  EncodeDegreeDirection(pairs, w);
+}
+
+/// Reads one direction, calling visit(endpoint, neighbour, multiplicity)
+/// per entry.
+template <typename Visit>
+Status DecodeDegreeDirection(BinaryReader* r, const Visit& visit) {
   PGHIVE_ASSIGN_OR_RETURN(uint32_t num_endpoints, r->ReadU32());
   for (uint32_t i = 0; i < num_endpoints; ++i) {
     PGHIVE_ASSIGN_OR_RETURN(uint64_t endpoint, r->ReadU64());
     PGHIVE_ASSIGN_OR_RETURN(uint32_t num_others, r->ReadU32());
-    auto& others = m[static_cast<NodeId>(endpoint)];
     for (uint32_t j = 0; j < num_others; ++j) {
       PGHIVE_ASSIGN_OR_RETURN(uint64_t other, r->ReadU64());
       PGHIVE_ASSIGN_OR_RETURN(uint64_t count, r->ReadU64());
       if (count == 0) return Status::ParseError("zero-count degree entry");
-      others[static_cast<NodeId>(other)] = count;
+      PGHIVE_RETURN_NOT_OK(visit(static_cast<NodeId>(endpoint),
+                                 static_cast<NodeId>(other), count));
     }
-    if (num_others > 0) ++(*degree_hist)[num_others];
   }
-  return m;
+  return Status::OK();
+}
+
+/// Inverse of EncodeDegreeState. The in direction must be exactly the out
+/// direction transposed, in ascending order.
+Status DecodeDegreeState(BinaryReader* r, DegreeState* d) {
+  PGHIVE_RETURN_NOT_OK(DecodeDegreeDirection(
+      r, [&](NodeId source, NodeId target, uint64_t count) -> Status {
+        if (d->Multiplicity(source, target) != 0) {
+          return Status::ParseError("duplicate degree entry");
+        }
+        d->Add(source, target, count);
+        return Status::OK();
+      }));
+  size_t transposed = 0;
+  DegreeState::Pair last{};
+  PGHIVE_RETURN_NOT_OK(DecodeDegreeDirection(
+      r, [&](NodeId target, NodeId source, uint64_t count) -> Status {
+        const DegreeState::Pair p{target, source};
+        if ((transposed > 0 && !(last < p)) ||
+            d->Multiplicity(source, target) != count) {
+          return Status::ParseError("in-degree entries do not transpose "
+                                    "the out-degree entries");
+        }
+        last = p;
+        ++transposed;
+        return Status::OK();
+      }));
+  if (transposed != d->num_pairs()) {
+    return Status::ParseError(
+        "in-degree entries do not transpose the out-degree entries");
+  }
+  return Status::OK();
 }
 
 template <typename Id>
@@ -932,8 +975,7 @@ void EncodeTypeAggregate(const TypeAggregate& a, BinaryWriter* w) {
   }
   EncodeCountMap(a.src_set_counts, w);
   EncodeCountMap(a.tgt_set_counts, w);
-  EncodeCountedDegreeMap(a.out_counts, w);
-  EncodeCountedDegreeMap(a.in_counts, w);
+  EncodeDegreeState(a.degrees, w);
 }
 
 Result<TypeAggregate> DecodeTypeAggregate(BinaryReader* r) {
@@ -956,10 +998,7 @@ Result<TypeAggregate> DecodeTypeAggregate(BinaryReader* r) {
   }
   PGHIVE_RETURN_NOT_OK(DecodeCountMap(r, &a.src_set_counts));
   PGHIVE_RETURN_NOT_OK(DecodeCountMap(r, &a.tgt_set_counts));
-  PGHIVE_ASSIGN_OR_RETURN(a.out_counts,
-                          DecodeCountedDegreeMap(r, &a.out_degree_hist));
-  PGHIVE_ASSIGN_OR_RETURN(a.in_counts,
-                          DecodeCountedDegreeMap(r, &a.in_degree_hist));
+  PGHIVE_RETURN_NOT_OK(DecodeDegreeState(r, &a.degrees));
   return a;
 }
 

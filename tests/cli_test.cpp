@@ -9,6 +9,7 @@
 #include "common/csv.h"
 #include "graph/csv_io.h"
 #include "graph/graph_builder.h"
+#include "test_temp.h"
 
 namespace pghive {
 namespace {
@@ -53,8 +54,7 @@ class CliTest : public testing::Test {
   void SetUp() override {
     // Per-test path: ctest runs each test as its own process, and two
     // concurrently running CliTest processes must not race on the CSV.
-    prefix_ = testing::TempDir() + "/pghive_cli_graph_" +
-              testing::UnitTest::GetInstance()->current_test_info()->name();
+    prefix_ = TestTempPath("cli_graph");
     ASSERT_TRUE(SaveGraphCsv(MakeFigure1Graph(), prefix_).ok());
   }
 
@@ -123,6 +123,31 @@ TEST_F(CliTest, DiscoverRejectsBadFlags) {
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
 
+// A flag the command does not read fails before any work, naming the
+// flag: `validate --mode strict` would otherwise validate LOOSE and pass,
+// and `generate --scale 4` would write the default size.
+TEST_F(CliTest, UnknownFlagsAreRejected) {
+  Status s;
+  Run({"validate", prefix_, prefix_, "--mode", "strict"}, &s);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("--mode"), std::string::npos) << s;
+
+  const std::string gen_prefix = prefix_ + "_scaled";
+  Run({"generate", "IYP", gen_prefix, "--scale", "4"}, &s);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("--scale"), std::string::npos) << s;
+  EXPECT_FALSE(LoadGraphCsv(gen_prefix).ok());  // nothing was written
+
+  Run({"discover", prefix_, "--thetaa", "0.8", "--no-postt"}, &s);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("--no-postt"), std::string::npos) << s;
+  EXPECT_NE(s.message().find("--thetaa"), std::string::npos) << s;
+
+  // Shared flags stay accepted everywhere.
+  Run({"stats", prefix_, "--log-level", "error"}, &s);
+  EXPECT_TRUE(s.ok()) << s;
+}
+
 TEST_F(CliTest, DiscoverMissingGraphFails) {
   Status s;
   Run({"discover", "/nonexistent/prefix"}, &s);
@@ -130,7 +155,7 @@ TEST_F(CliTest, DiscoverMissingGraphFails) {
 }
 
 TEST_F(CliTest, GenerateThenStats) {
-  std::string gen_prefix = testing::TempDir() + "/pghive_cli_pole";
+  std::string gen_prefix = TestTempPath("cli_pole");
   Status s;
   std::string out = Run({"generate", "POLE", gen_prefix, "--nodes", "200",
                          "--edges", "300", "--seed", "5"},
@@ -151,7 +176,7 @@ TEST_F(CliTest, GenerateUnknownDatasetFails) {
 }
 
 TEST_F(CliTest, GenerateWithNoise) {
-  std::string gen_prefix = testing::TempDir() + "/pghive_cli_noisy";
+  std::string gen_prefix = TestTempPath("cli_noisy");
   Status s;
   Run({"generate", "POLE", gen_prefix, "--nodes", "150", "--edges", "200",
        "--labels", "0.0"},
@@ -170,7 +195,7 @@ TEST_F(CliTest, ValidateSelfPasses) {
 
 TEST_F(CliTest, ValidateForeignDataFails) {
   // Validate an MB6 graph against the Figure-1 schema: nothing matches.
-  std::string other = testing::TempDir() + "/pghive_cli_mb6";
+  std::string other = TestTempPath("cli_mb6");
   Status s;
   Run({"generate", "MB6", other, "--nodes", "100", "--edges", "100"}, &s);
   ASSERT_TRUE(s.ok());
@@ -190,7 +215,7 @@ TEST_F(CliTest, DiffDetectsNewTypes) {
   // Same graph plus an extra labeled node type on one side.
   PropertyGraph g = MakeFigure1Graph();
   g.AddNode({"Gadget"}, {{"serial", Value::String("x1")}}, "Gadget");
-  std::string extended = testing::TempDir() + "/pghive_cli_ext";
+  std::string extended = TestTempPath("cli_ext");
   ASSERT_TRUE(SaveGraphCsv(g, extended).ok());
   Status s;
   std::string out = Run({"diff", prefix_, extended}, &s);
@@ -199,7 +224,7 @@ TEST_F(CliTest, DiffDetectsNewTypes) {
 }
 
 TEST_F(CliTest, DiscoverJsonAndSavedSchemaValidate) {
-  std::string schema_path = testing::TempDir() + "/pghive_cli_schema.json";
+  std::string schema_path = TestTempPath("cli_schema.json");
   Status s;
   std::string json =
       Run({"discover", prefix_, "--format", "json", "--save-schema",
@@ -215,7 +240,7 @@ TEST_F(CliTest, DiscoverJsonAndSavedSchemaValidate) {
 }
 
 TEST_F(CliTest, ValidateWithBadSchemaFileFails) {
-  std::string path = testing::TempDir() + "/pghive_cli_bad_schema.json";
+  std::string path = TestTempPath("cli_bad_schema.json");
   ASSERT_TRUE(WriteFile(path, "{\"format\":\"nope\"}").ok());
   Status s;
   Run({"validate", prefix_, "--schema", path}, &s);
@@ -224,7 +249,7 @@ TEST_F(CliTest, ValidateWithBadSchemaFileFails) {
 
 TEST_F(CliTest, DiscoverWithAliasFile) {
   // Rewrite Organization -> Org before discovery.
-  std::string alias_path = testing::TempDir() + "/pghive_cli_aliases.txt";
+  std::string alias_path = TestTempPath("cli_aliases.txt");
   ASSERT_TRUE(WriteFile(alias_path,
                         "# test aliases\nOrganization = Org\n")
                   .ok());
@@ -237,7 +262,7 @@ TEST_F(CliTest, DiscoverWithAliasFile) {
 }
 
 TEST_F(CliTest, DiscoverWithBadAliasFileFails) {
-  std::string alias_path = testing::TempDir() + "/pghive_cli_bad_alias.txt";
+  std::string alias_path = TestTempPath("cli_bad_alias.txt");
   ASSERT_TRUE(WriteFile(alias_path, "no equals here\n").ok());
   Status s;
   Run({"discover", prefix_, "--aliases", alias_path}, &s);

@@ -14,6 +14,7 @@
 #include "common/status.h"
 #include "common/string_util.h"
 #include "common/union_find.h"
+#include "test_temp.h"
 
 namespace pghive {
 namespace {
@@ -371,7 +372,7 @@ TEST(CsvTest, ReadMissingFileFails) {
 }
 
 TEST(CsvTest, WriteAndReadBack) {
-  std::string path = testing::TempDir() + "/pghive_csv_test.txt";
+  std::string path = TestTempPath("csv_test.txt");
   ASSERT_TRUE(WriteFile(path, "hello\nworld").ok());
   auto content = ReadFile(path);
   ASSERT_TRUE(content.ok());

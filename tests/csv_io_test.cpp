@@ -11,6 +11,7 @@
 #include "datagen/generator.h"
 #include "graph/csv_io.h"
 #include "graph/property_graph.h"
+#include "test_temp.h"
 
 namespace pghive {
 namespace {
@@ -45,7 +46,7 @@ TEST(CsvIoTest, TextRoundTripPreservesGraph) {
 }
 
 TEST(CsvIoTest, LoadSaveLoadIsIdentical) {
-  std::string prefix = testing::TempDir() + "/pghive_csv_roundtrip";
+  std::string prefix = TestTempPath("csv_roundtrip");
   PropertyGraph g = MakeTrickyGraph();
   ASSERT_TRUE(SaveGraphCsv(g, prefix).ok());
   auto first = LoadGraphCsv(prefix);

@@ -25,12 +25,13 @@
 #include "graph/property_graph.h"
 #include "store/state_store.h"
 #include "text/label_embedder.h"
+#include "test_temp.h"
 
 namespace pghive {
 namespace {
 
 std::string TestDir(const std::string& name) {
-  std::string dir = testing::TempDir() + "/pghive_drift_eq_" + name;
+  std::string dir = TestTempPath("drift_eq_" + name);
   std::filesystem::remove_all(dir);
   return dir;
 }

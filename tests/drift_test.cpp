@@ -31,6 +31,7 @@
 #include "store/snapshot.h"
 #include "store/state_store.h"
 #include "text/label_embedder.h"
+#include "test_temp.h"
 
 namespace pghive {
 namespace {
@@ -65,7 +66,7 @@ store::StoreOptions FastStoreOptions() {
 }
 
 std::string TestDir(const std::string& name) {
-  std::string dir = testing::TempDir() + "/pghive_drift_" + name;
+  std::string dir = TestTempPath("drift_" + name);
   std::filesystem::remove_all(dir);
   return dir;
 }

@@ -8,6 +8,7 @@
 #include "graph/graph_stats.h"
 #include "graph/property_graph.h"
 #include "graph/value.h"
+#include "test_temp.h"
 
 namespace pghive {
 namespace {
@@ -278,7 +279,7 @@ TEST(CsvIoTest, EdgeToMissingNodeRejected) {
 
 TEST(CsvIoTest, SaveAndLoadFiles) {
   PropertyGraph g = MakeFigure1Graph();
-  std::string prefix = testing::TempDir() + "/pghive_graph";
+  std::string prefix = TestTempPath("graph");
   ASSERT_TRUE(SaveGraphCsv(g, prefix).ok());
   auto loaded = LoadGraphCsv(prefix);
   ASSERT_TRUE(loaded.ok());

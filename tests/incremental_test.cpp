@@ -7,6 +7,7 @@
 #include "datagen/generator.h"
 #include "eval/f1.h"
 #include "graph/graph_builder.h"
+#include "obs/trace.h"
 
 namespace pghive {
 namespace {
@@ -64,6 +65,38 @@ TEST(IncrementalTest, EveryInstanceAssignedExactlyOnce) {
   for (size_t i = 0; i < g.num_nodes(); ++i) {
     EXPECT_EQ(seen[i], 1) << "node " << i;
   }
+}
+
+// The per-batch aggregate fold is a timed batch stage: it runs under an
+// incremental.fold span nested in the batch span, and fills
+// StageTimings::fold with that span's duration.
+TEST(IncrementalTest, BatchFoldIsTimedStage) {
+  auto g = GenerateGraph(MakePoleSpec(),
+                         GenerateOptions{.num_nodes = 400, .num_edges = 700})
+               .value();
+  obs::Tracer::Global().SetEnabled(true);
+  obs::Tracer::Global().Clear();
+  IncrementalDiscoverer discoverer;
+  for (const auto& batch : SplitIntoBatches(g, 2)) {
+    ASSERT_TRUE(discoverer.Feed(batch).ok());
+    EXPECT_GT(discoverer.last_diagnostics().timings.fold, 0.0);
+  }
+  std::vector<obs::SpanEvent> spans = obs::Tracer::Global().CollectSpans();
+  obs::Tracer::Global().SetEnabled(false);
+  obs::Tracer::Global().Clear();
+  size_t folds = 0;
+  for (const obs::SpanEvent& s : spans) {
+    if (s.name != "incremental.fold") continue;
+    ++folds;
+    bool nested = false;
+    for (const obs::SpanEvent& p : spans) {
+      nested = nested || (p.id == s.parent && p.name == "incremental.batch");
+    }
+    EXPECT_TRUE(nested);
+  }
+  EXPECT_EQ(folds, 2u);
+  EXPECT_EQ(discoverer.aggregates().FoldedInstances(),
+            g.num_nodes() + g.num_edges());
 }
 
 TEST(IncrementalTest, PostProcessEachBatchOption) {

@@ -6,6 +6,7 @@
 #include "core/pipeline.h"
 #include "core/schema_json.h"
 #include "graph/graph_builder.h"
+#include "test_temp.h"
 
 namespace pghive {
 namespace {
@@ -207,7 +208,7 @@ TEST(SchemaJsonTest, RejectsBadDatatypeAndCardinality) {
 
 TEST(SchemaJsonTest, FileRoundTrip) {
   SchemaGraph schema = DiscoveredFigure1();
-  std::string path = testing::TempDir() + "/pghive_schema.json";
+  std::string path = TestTempPath("schema.json");
   ASSERT_TRUE(SaveSchemaJson(schema, path).ok());
   auto loaded = LoadSchemaJson(path);
   ASSERT_TRUE(loaded.ok());

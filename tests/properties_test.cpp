@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <tuple>
 
 #include "core/incremental.h"
 #include "core/pgschema_parser.h"
@@ -288,8 +290,11 @@ INSTANTIATE_TEST_SUITE_P(Distances, ElshTheoryTest,
 
 // ---------- noise robustness property of the full pipeline ----------
 
+// The dataset name is a std::string, not a const char*: gtest prints a
+// pointer parameter with its address, which would make the registered test
+// names differ from one test discovery to the next.
 class RobustnessTest
-    : public testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(RobustnessTest, FullyLabeledDiscoveryStaysAccurateUnderNoise) {
   auto [dataset, noise] = GetParam();
@@ -312,7 +317,8 @@ TEST_P(RobustnessTest, FullyLabeledDiscoveryStaysAccurateUnderNoise) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, RobustnessTest,
-    testing::Combine(testing::Values("POLE", "MB6", "ICIJ", "LDBC"),
+    testing::Combine(testing::Values(std::string("POLE"), std::string("MB6"),
+                                     std::string("ICIJ"), std::string("LDBC")),
                      testing::Values(0.0, 0.2, 0.4)));
 
 }  // namespace

@@ -29,6 +29,7 @@
 #include "serve/server.h"
 #include "serve/wire.h"
 #include "store/state_store.h"
+#include "test_temp.h"
 
 namespace pghive {
 namespace serve {
@@ -57,7 +58,7 @@ GraphHostOptions FastHostOptions() {
 }
 
 std::string TestDir(const std::string& name) {
-  std::string dir = testing::TempDir() + "/pghive_serve_" + name;
+  std::string dir = TestTempPath("serve_" + name);
   std::filesystem::remove_all(dir);
   return dir;
 }

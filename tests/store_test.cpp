@@ -17,6 +17,7 @@
 #include "store/journal.h"
 #include "store/snapshot.h"
 #include "store/state_store.h"
+#include "test_temp.h"
 
 namespace pghive {
 namespace store {
@@ -42,7 +43,7 @@ StoreOptions FastOptions() {
 }
 
 std::string TestDir(const std::string& name) {
-  std::string dir = testing::TempDir() + "/pghive_store_" + name;
+  std::string dir = TestTempPath("store_" + name);
   std::filesystem::remove_all(dir);
   return dir;
 }

@@ -5,6 +5,10 @@
 #   tools/check.sh           # normal build + full ctest, then both legs
 #   tools/check.sh --fast    # sanitizer legs only
 #
+# The full run repeats the tier-1 suite three times at twice the core
+# count (`ctest --repeat until-fail:3`), so suites that are not hermetic
+# under parallel ctest fail here rather than intermittently.
+#
 # The TSan leg rebuilds runtime_test / pipeline_test / store_test /
 # obs_test / the pghive CLI in build-tsan/ with -DPGHIVE_SANITIZE=thread and runs a
 # --threads 4 discovery, so every parallelized stage (including the
@@ -47,6 +51,12 @@ if [[ "${1:-}" != "--fast" ]]; then
   cmake -B build -S .
   cmake --build build -j "${JOBS}"
   (cd build && ctest --output-on-failure -j "${JOBS}")
+
+  echo "=== tier-1: hermeticity under oversubscribed, repeated ctest ==="
+  # ctest runs every case as its own process; three oversubscribed rounds
+  # surface cases that share temp paths or otherwise race each other.
+  (cd build && ctest --output-on-failure --repeat until-fail:3 \
+    -j "$((2 * JOBS))")
 
   echo "=== perf guard: encode+cluster vs committed BENCH_pipeline.json ==="
   # Re-record the per-stage baseline (benchmark loops filtered out) and
